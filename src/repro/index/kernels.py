@@ -181,18 +181,20 @@ def offer_leaf(
     query: np.ndarray,
     stats: "SearchStats",
     metric: Metric = _EUCLIDEAN,
-) -> None:
+) -> np.ndarray:
     """Fused leaf kernel: keys + bound filter + bulk candidate insertion.
 
     Equivalent to the scalar ``_leaf_distances`` + per-entry
     ``_CandidateSet.offer`` loop: charges ``len(entries)`` distance
     computations and leaves ``candidates`` in exactly the state the
     ordered scalar offers would (see ``_CandidateSet.offer_many``).
+    Returns the leaf's ranking keys, in entry order.
     """
     points = leaf_points(node)
     keys = metric.point_keys(points, query)
     stats.distance_computations += len(node.entries)
     candidates.offer_many(keys, node.entries)
+    return keys
 
 
 def offer_payload(
@@ -202,8 +204,8 @@ def offer_payload(
     query: np.ndarray,
     stats: "SearchStats",
     metric: Metric = _EUCLIDEAN,
-) -> None:
-    """Leaf kernel over a raw page payload (out-of-core batch path).
+) -> np.ndarray:
+    """Leaf kernel over a raw page payload (out-of-core path).
 
     The mmap store serves a page as ``(points, oids)`` arrays rather
     than :class:`~repro.index.node.LeafEntry` objects; this scores and
@@ -211,8 +213,10 @@ def offer_payload(
     ``metric.point_keys`` over the contiguous point matrix, one
     ``distance_computations`` charge per entry, ordered bulk insertion
     — so in-memory and mmap-backed engines return bit-identical
-    results and counters.
+    results and counters.  Returns the payload's ranking keys, in row
+    order (the process workers publish them to the shared bound).
     """
     keys = metric.point_keys(points, query)
     stats.distance_computations += len(oids)
     candidates.offer_many_arrays(keys, oids, points)
+    return keys

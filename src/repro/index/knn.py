@@ -5,7 +5,10 @@ of the paper):
 
 * :func:`knn_best_first` — Hjaltason & Samet [HS 95]: a global priority
   queue ordered by ``mindist`` visits partitions in increasing distance
-  order; optimal in the number of accessed pages for a given tree.
+  order; optimal in the number of accessed pages for a given tree.  The
+  loop itself is :func:`best_first`, which every engine of
+  :mod:`repro.parallel` drives through hooks (page charging, payload
+  source, queue filter, shared bound, pruning trace).
 * :func:`knn_branch_and_bound` — Roussopoulos et al. [RKV 95]: depth-first
   traversal with ``mindist`` ordering and ``minmaxdist``/``mindist``
   pruning; the algorithm the paper ran on the X-tree.
@@ -33,9 +36,16 @@ from repro.index.rstar import RStarTree
 #: Default metric: L2 with squared-distance ranking keys.
 _EUCLIDEAN = Euclidean()
 
+#: Queue pops between two reads of :func:`best_first`'s ``shared_bound``.
+_BOUND_REFRESH_POPS = 8
+
+#: A leaf payload source: ``read_page(leaf) -> (points, oids)``.
+PageSource = Callable[[Node], Tuple[np.ndarray, np.ndarray]]
+
 __all__ = [
     "Neighbor",
     "SearchStats",
+    "best_first",
     "knn_best_first",
     "knn_branch_and_bound",
     "knn_linear_scan",
@@ -195,6 +205,133 @@ def _leaf_distances(
     return keys, entries
 
 
+def best_first(
+    roots: Sequence[Tuple[int, Node]],
+    query: np.ndarray,
+    candidates: _CandidateSet,
+    stats: SearchStats,
+    *,
+    vectorized: bool,
+    metric: Metric = _EUCLIDEAN,
+    visit: Optional[Callable[[int, Node], None]] = None,
+    read_page: Optional[PageSource] = None,
+    admit: Optional[Callable[[Node], bool]] = None,
+    shared_bound: Optional[Callable[[], float]] = None,
+    publish: Optional[Callable[[np.ndarray, float], float]] = None,
+    prune: Optional[Callable[[int, int], None]] = None,
+) -> None:
+    """The HS 95 best-first kNN loop behind every engine.
+
+    One priority queue of ``(mindist, tiebreak, disk, node)`` over the
+    forest ``roots`` (``(disk, root)`` pairs; the disk tag is inherited
+    by every descendant).  The first popped node farther than the bound
+    ends the search, so exactly the pages whose MBR intersects the final
+    kNN sphere are visited; ``stats`` records them.  The hooks:
+
+    * ``visit(disk, node)`` — every visited node, before it is scored or
+      expanded (page charging, buffer pool, tracing);
+    * ``read_page(leaf) -> (points, oids)`` — an out-of-core payload
+      source; without it leaves are scored from their entries;
+    * ``admit(node)`` — queue filter for roots and children;
+    * ``shared_bound()`` — an external bound, read at the start and every
+      ``_BOUND_REFRESH_POPS`` pops; the search prunes with the smaller
+      of it and the local bound;
+    * ``publish(keys, shared) -> shared`` — every scored leaf's ranking
+      keys; returns the refreshed shared bound;
+    * ``prune(disk, count)`` — one call per child rejected by the bound,
+      plus one for the queue left when the search stops.
+
+    ``vectorized`` selects the batched kernels (:mod:`repro.index.kernels`,
+    looked up at call time) or the scalar ``metric.mindist`` / per-entry
+    offers kept as the test oracle; both take the same pruning
+    decisions, consume the same tiebreaks, and call the hooks in the
+    same order.
+    """
+    tiebreak = itertools.count()
+    queue: List[Tuple[float, int, int, Node]] = [
+        (0.0, next(tiebreak), disk, root)
+        for disk, root in roots
+        if admit is None or admit(root)
+    ]
+    shared = float("inf") if shared_bound is None else shared_bound()
+    pops = 0
+    while queue:
+        mindist, _, disk, node = heapq.heappop(queue)
+        bound = candidates.bound
+        if shared_bound is not None:
+            pops += 1
+            if pops % _BOUND_REFRESH_POPS == 0:
+                shared = shared_bound()
+            bound = min(bound, shared)
+        if mindist > bound:
+            if prune is not None:
+                prune(disk, len(queue) + 1)
+            break
+        stats.record(node)
+        if visit is not None:
+            visit(disk, node)
+        if node.is_leaf:
+            keys = _score_leaf(
+                node, query, candidates, stats, vectorized, metric, read_page
+            )
+            if publish is not None and keys is not None:
+                shared = publish(keys, shared)
+            continue
+        if vectorized:
+            child_keys = kernels.child_mindists(node, query, metric)
+        else:
+            child_keys = np.array(
+                [metric.mindist(child.mbr, query) for child in node.entries]
+            )
+        # The bound cannot change while a node is expanded, so one mask
+        # reproduces the per-child test, including which children consume
+        # a tiebreak value, in order.
+        passed = child_keys <= bound
+        if prune is not None:
+            for _ in range(len(passed) - int(np.count_nonzero(passed))):
+                prune(disk, 1)
+        for index in np.nonzero(passed)[0]:
+            child = node.entries[index]
+            if admit is None or admit(child):
+                heapq.heappush(
+                    queue,
+                    (float(child_keys[index]), next(tiebreak), disk, child),
+                )
+
+
+def _score_leaf(
+    leaf: Node,
+    query: np.ndarray,
+    candidates: _CandidateSet,
+    stats: SearchStats,
+    vectorized: bool,
+    metric: Metric,
+    read_page: Optional[PageSource],
+) -> Optional[np.ndarray]:
+    """Offer one leaf's points; returns their keys (None when empty)."""
+    if read_page is not None:
+        points, oids = read_page(leaf)
+        if not len(oids):
+            return None
+        if vectorized:
+            return kernels.offer_payload(
+                candidates, points, oids, query, stats, metric
+            )
+        keys = metric.point_keys(points, query)
+        stats.distance_computations += len(oids)
+        for key, oid, point in zip(keys, oids, points):
+            candidates.offer(float(key), int(oid), point)
+        return keys
+    if not leaf.entries:
+        return None
+    if vectorized:
+        return kernels.offer_leaf(candidates, leaf, query, stats, metric)
+    keys, entries = _leaf_distances(leaf, query, stats, metric)
+    for key, entry in zip(keys, entries):
+        candidates.offer(float(key), entry.oid, entry.point)
+    return keys
+
+
 def knn_best_first(
     tree: RStarTree,
     query: Sequence[float],
@@ -203,67 +340,33 @@ def knn_best_first(
     on_node: Optional[Callable[[Node], None]] = None,
     use_kernels: Optional[bool] = None,
 ) -> Tuple[List[Neighbor], SearchStats]:
-    """HS 95 incremental best-first kNN.
+    """HS 95 incremental best-first kNN over one tree.
 
     Maintains a priority queue of tree nodes keyed by ``mindist`` to the
     query; terminates once the nearest unvisited node is farther than the
     current k-th candidate — i.e. it reads exactly the pages whose MBR
-    intersects the kNN sphere (page-optimal for the given tree).
+    intersects the kNN sphere (page-optimal for the given tree).  A thin
+    adapter over :func:`best_first`.
 
     ``metric`` selects the distance (default Euclidean); see
     :mod:`repro.index.metrics`.  ``on_node`` is invoked for every visited
-    node in traversal order — callers that need the page-level access
-    trace (e.g. a buffer pool) hook in here instead of re-deriving it from
-    the aggregate :class:`SearchStats`.  ``use_kernels`` selects the
-    vectorized traversal kernels (:mod:`repro.index.kernels`); ``None``
-    defers to the ``REPRO_SCALAR_KERNELS`` environment variable.  Both
-    paths produce bit-identical results and counters.
+    node in traversal order.  ``use_kernels`` selects the vectorized
+    traversal kernels (:mod:`repro.index.kernels`); ``None`` defers to
+    the ``REPRO_SCALAR_KERNELS`` environment variable.  Both paths
+    produce bit-identical results and counters.
     """
     metric = metric or _EUCLIDEAN
-    vectorized = kernels.kernels_enabled(use_kernels)
-    query = np.asarray(query, dtype=float)
     stats = SearchStats()
     candidates = _CandidateSet(k)
-    if tree.size == 0:
-        return [], stats
-    tiebreak = itertools.count()
-    queue: List[Tuple[float, int, Node]] = [(0.0, next(tiebreak), tree.root)]
-    while queue:
-        mindist, _, node = heapq.heappop(queue)
-        if mindist > candidates.bound:
-            break
-        stats.record(node)
-        if on_node is not None:
-            on_node(node)
-        if node.is_leaf:
-            if node.entries:
-                if vectorized:
-                    kernels.offer_leaf(candidates, node, query, stats, metric)
-                else:
-                    keys, entries = _leaf_distances(node, query, stats, metric)
-                    for key, entry in zip(keys, entries):
-                        candidates.offer(float(key), entry.oid, entry.point)
-        elif vectorized:
-            # The bound cannot change while expanding a directory node, so
-            # one mask reproduces the per-child test — including which
-            # children consume a tiebreak value, in the same order.
-            child_keys = kernels.child_mindists(node, query, metric)
-            for index in np.nonzero(child_keys <= candidates.bound)[0]:
-                heapq.heappush(
-                    queue,
-                    (
-                        float(child_keys[index]),
-                        next(tiebreak),
-                        node.entries[index],
-                    ),
-                )
-        else:
-            for child in node.entries:
-                child_mindist = metric.mindist(child.mbr, query)
-                if child_mindist <= candidates.bound:
-                    heapq.heappush(
-                        queue, (child_mindist, next(tiebreak), child)
-                    )
+    best_first(
+        [(0, tree.root)] if tree.size else [],
+        np.asarray(query, dtype=float),
+        candidates,
+        stats,
+        vectorized=kernels.kernels_enabled(use_kernels),
+        metric=metric,
+        visit=None if on_node is None else lambda _disk, node: on_node(node),
+    )
     return candidates.neighbors(metric), stats
 
 

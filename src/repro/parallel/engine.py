@@ -39,27 +39,19 @@ nothing and leaves every counter untouched.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Type, Union
+from typing import Callable, List, Optional, Sequence, Type, Union
 
 import numpy as np
 
 from repro.index import kernels
-from repro.index.knn import (
-    Neighbor,
-    SearchStats,
-    _CandidateSet,
-    _leaf_distances,
-    knn_best_first,
-)
+from repro.index.knn import Neighbor, SearchStats, _CandidateSet, best_first
 from repro.index.node import DEFAULT_PAGE_BYTES, Node
 from repro.index.rstar import RStarTree
 from repro.index.xtree import XTree
 from repro.index.bulk import bulk_load
 from repro.obs.context import current_tracer
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import Tracer
 from repro.parallel.cache import (
     BufferPool,
     CacheConfig,
@@ -199,7 +191,123 @@ class BatchQueryResult:
         )
 
 
-class ParallelEngine:
+def run_query_batch(
+    query_one: Callable, queries: np.ndarray, num_disks: int, *args
+) -> BatchQueryResult:
+    """The engines' shared ``query_batch`` body.
+
+    Converts the query matrix to float64 once up front (each query is
+    then a zero-copy row view) and runs ``query_one(query, *args)`` per
+    row, in order: a buffer pool stays warm across the batch, so later
+    queries hit the pages earlier ones pulled in, and the per-query
+    results are identical to issuing the calls one by one.
+    """
+    queries = np.asarray(queries, dtype=float)
+    if queries.size == 0:
+        return BatchQueryResult([], num_disks)
+    return BatchQueryResult(
+        [query_one(query, *args) for query in np.atleast_2d(queries)],
+        num_disks,
+    )
+
+
+def page_visitor(
+    disks: DiskArray,
+    cache: Optional[BufferPool],
+    tracer: Tracer,
+    span: int,
+    count_directory: bool,
+    disk_of: Optional[Callable[[Node], int]] = None,
+) -> Callable[[int, Node], None]:
+    """The :func:`~repro.index.knn.best_first` ``visit`` hook of the
+    in-process engines: page charging, buffer pool and tracing.
+
+    Per visited node: ``node_visit``, then — for a data page, or any
+    node under ``count_directory`` — a pool lookup (``cache_hit`` ends
+    it, ``cache_miss`` continues), the disk charge of ``node.blocks``
+    pages, and ``page_read``.  ``disk_of`` maps a data page to its disk
+    when the queue's disk tag does not (the shared directory of
+    :class:`~repro.parallel.paged.PagedEngine` is tagged ``-1``).
+    """
+
+    def visit(disk: int, node: Node) -> None:
+        if disk_of is not None and node.is_leaf:
+            disk = disk_of(node)
+        if tracer.enabled:
+            tracer.node_visit(span, disk, leaf=node.is_leaf)
+        if not (node.is_leaf or count_directory):
+            return
+        pages = node.blocks
+        if cache is not None:
+            if cache.access(disk, id(node), pages):
+                if tracer.enabled:
+                    tracer.cache_hit(span, disk, pages)
+                return
+            if tracer.enabled:
+                tracer.cache_miss(span, disk, pages)
+        disks.charge(disk, pages)
+        if tracer.enabled:
+            tracer.page_read(span, disk, pages)
+
+    return visit
+
+
+def pruner(tracer: Tracer, span: int) -> Optional[Callable[[int, int], None]]:
+    """The ``prune`` hook tracing pruned subtrees (None when untraced)."""
+    if not tracer.enabled:
+        return None
+
+    def prune(disk: int, count: int) -> None:
+        if tracer.enabled:
+            tracer.prune(span, disk, count=count)
+
+    return prune
+
+
+class InProcessEngine:
+    """What the in-process engines share: a buffer pool (``cache``), a
+    tracer, and the per-disk result of a finished search."""
+
+    cache: Optional[BufferPool]
+    tracer: Optional[Tracer]
+
+    def reset_cache(self) -> None:
+        """Drop every cached page (next query runs cold)."""
+        if self.cache is not None:
+            self.cache.reset()
+
+    def _active_tracer(self) -> Tracer:
+        """This engine's tracer, else the ambient one, else the null
+        tracer."""
+        return self.tracer if self.tracer is not None else current_tracer()
+
+    def _result(
+        self,
+        tracer: Tracer,
+        span: int,
+        disks: DiskArray,
+        stats: SearchStats,
+        candidates: _CandidateSet,
+        cache_before: Optional[CacheStats],
+    ) -> ParallelQueryResult:
+        """Close the query span and package the per-disk result."""
+        if tracer.enabled:
+            tracer.end_query(
+                span, time_ms=disks.parallel_time_ms,
+                distance_computations=stats.distance_computations,
+            )
+        return ParallelQueryResult(
+            neighbors=candidates.neighbors(),
+            pages_per_disk=disks.pages_per_disk,
+            parallel_time_ms=disks.parallel_time_ms,
+            distance_computations=stats.distance_computations,
+            cache_stats=(
+                self.cache.delta_since(cache_before) if self.cache else None
+            ),
+        )
+
+
+class ParallelEngine(InProcessEngine):
     """kNN execution over a :class:`DeclusteredStore`.
 
     ``count_directory=False`` (default) charges only data (leaf) pages to
@@ -241,82 +349,22 @@ class ParallelEngine:
         self.tracer = tracer
         self.use_kernels = use_kernels
 
-    def reset_cache(self) -> None:
-        """Drop every cached page (next query runs cold)."""
-        if self.cache is not None:
-            self.cache.reset()
-
-    def _active_tracer(self) -> Tracer:
-        """This engine's tracer, else the ambient one, else the null
-        tracer."""
-        return self.tracer if self.tracer is not None else current_tracer()
-
-    def _fetch(self, disks: DiskArray, disk: int, node: Node, pages: int,
-               tracer: Tracer = NULL_TRACER, span: int = -1) -> None:
-        """Serve ``pages`` pages of ``node`` from cache or charge the
-        disk.
-
-        Emits ``cache_hit``/``cache_miss`` (when a pool is attached) and
-        ``page_read`` for every disk charge.
-        """
-        if pages == 0:
-            return
-        if self.cache is not None:
-            if self.cache.access(disk, id(node), pages):
-                if tracer.enabled:
-                    tracer.cache_hit(span, disk, pages)
-                return
-            if tracer.enabled:
-                tracer.cache_miss(span, disk, pages)
-        disks.charge(disk, pages)
-        if tracer.enabled:
-            tracer.page_read(span, disk, pages)
-
     def query(
         self, query: Sequence[float], k: int = 1, mode: str = "coordinated"
     ) -> ParallelQueryResult:
         """Run one kNN query in the given execution mode.
 
-        Under an enabled tracer this emits a full query span
-        (``query_start`` ... ``query_end``) with per-disk ``page_read``
-        events matching the returned ``pages_per_disk`` exactly.
+        ``"coordinated"`` is one :func:`~repro.index.knn.best_first`
+        search over every ``(disk, root)``; ``"independent"`` is one
+        search per disk, merged on the exact squared keys.  Under an
+        enabled tracer this emits a full query span (``query_start`` ...
+        ``query_end``) with per-disk ``page_read`` events matching the
+        returned ``pages_per_disk`` exactly.
         """
-        if mode == "coordinated":
-            return self._query_coordinated(query, k)
-        if mode == "independent":
-            return self._query_independent(query, k)
-        raise ValueError(
-            f"mode must be 'coordinated' or 'independent', got {mode!r}"
-        )
-
-    def query_batch(
-        self,
-        queries: np.ndarray,
-        k: int = 1,
-        mode: str = "coordinated",
-    ) -> BatchQueryResult:
-        """Run a batch of kNN queries sharing this engine's buffer pool.
-
-        The query matrix is converted to float64 once up front (each
-        query is then a zero-copy row view), and the buffer pool — when
-        one is attached — stays warm across the batch, so later queries
-        hit the pages earlier ones pulled in.  Per-query results are
-        identical to issuing :meth:`query` calls one by one.
-        """
-        queries = np.asarray(queries, dtype=float)
-        if queries.size == 0:
-            return BatchQueryResult([], self.store.num_disks)
-        queries = np.atleast_2d(queries)
-        return BatchQueryResult(
-            [self.query(query, k, mode) for query in queries],
-            self.store.num_disks,
-        )
-
-    # ----------------------------------------------------- coordinated
-
-    def _query_coordinated(
-        self, query: Sequence[float], k: int
-    ) -> ParallelQueryResult:
+        if mode not in ("coordinated", "independent"):
+            raise ValueError(
+                f"mode must be 'coordinated' or 'independent', got {mode!r}"
+            )
         query = np.asarray(query, dtype=float)
         vectorized = kernels.kernels_enabled(self.use_kernels)
         disks = DiskArray(self.store.num_disks, self.parameters)
@@ -325,168 +373,51 @@ class ParallelEngine:
         span = -1
         if tracer.enabled:
             span = tracer.begin_query(
-                "parallel", k=k, num_disks=self.store.num_disks,
-                mode="coordinated",
+                "parallel", k=k, num_disks=self.store.num_disks, mode=mode,
                 service_ms=self.parameters.page_service_time_ms,
             )
+        visit = page_visitor(
+            disks, self.cache, tracer, span, self.count_directory
+        )
+        roots = [
+            (disk, tree.root)
+            for disk, tree in enumerate(self.store.trees)
+            if tree.size
+        ]
         candidates = _CandidateSet(k)
         stats = SearchStats()
-        tiebreak = itertools.count()
-        queue: List[Tuple[float, int, int, Node]] = []
-        for disk, tree in enumerate(self.store.trees):
-            if tree.size:
-                heapq.heappush(queue, (0.0, next(tiebreak), disk, tree.root))
-        while queue:
-            mindist, _, disk, node = heapq.heappop(queue)
-            if mindist > candidates.bound:
-                if tracer.enabled:
-                    # Everything still queued is outside the kNN sphere.
-                    tracer.prune(span, disk, count=len(queue) + 1)
-                break
-            if tracer.enabled:
-                tracer.node_visit(span, disk, leaf=node.is_leaf)
-            if node.is_leaf or self.count_directory:
-                self._fetch(disks, disk, node, node.blocks, tracer, span)
-            if node.is_leaf:
-                if node.entries:
-                    if vectorized:
-                        kernels.offer_leaf(candidates, node, query, stats)
-                    else:
-                        sq, entries = _leaf_distances(node, query, stats)
-                        for distance, entry in zip(sq, entries):
-                            candidates.offer(
-                                float(distance), entry.oid, entry.point
-                            )
-            elif vectorized:
-                child_keys = kernels.child_mindists(node, query)
-                if tracer.enabled:
-                    # Walk every child in order so the per-child prune
-                    # events match the scalar trace exactly.
-                    for index, child in enumerate(node.entries):
-                        child_mindist = float(child_keys[index])
-                        if child_mindist <= candidates.bound:
-                            heapq.heappush(
-                                queue,
-                                (child_mindist, next(tiebreak), disk, child),
-                            )
-                        else:
-                            tracer.prune(span, disk)
-                else:
-                    # The bound cannot change while expanding a node, so
-                    # one mask reproduces the per-child test — including
-                    # which children consume a tiebreak value, in order.
-                    for index in np.nonzero(
-                        child_keys <= candidates.bound
-                    )[0]:
-                        heapq.heappush(
-                            queue,
-                            (
-                                float(child_keys[index]),
-                                next(tiebreak),
-                                disk,
-                                node.entries[index],
-                            ),
-                        )
-            else:
-                for child in node.entries:
-                    child_mindist = child.mbr.mindist(query)
-                    if child_mindist <= candidates.bound:
-                        heapq.heappush(
-                            queue,
-                            (child_mindist, next(tiebreak), disk, child),
-                        )
-                    elif tracer.enabled:
-                        tracer.prune(span, disk)
-        if tracer.enabled:
-            tracer.end_query(
-                span, time_ms=disks.parallel_time_ms,
-                distance_computations=stats.distance_computations,
+        if mode == "coordinated":
+            best_first(
+                roots, query, candidates, stats, vectorized=vectorized,
+                visit=visit, prune=pruner(tracer, span),
             )
-        return ParallelQueryResult(
-            neighbors=candidates.neighbors(),
-            pages_per_disk=disks.pages_per_disk,
-            parallel_time_ms=disks.parallel_time_ms,
-            distance_computations=stats.distance_computations,
-            cache_stats=(
-                self.cache.delta_since(cache_before) if self.cache else None
-            ),
+        else:
+            for root in roots:
+                local = _CandidateSet(k)
+                best_first(
+                    [root], query, local, stats, vectorized=vectorized,
+                    visit=visit,
+                )
+                for key, oid, point in local.items():
+                    candidates.offer(key, oid, point)
+        return self._result(
+            tracer, span, disks, stats, candidates, cache_before
         )
 
-    # ----------------------------------------------------- independent
-
-    def _node_pages(self, node: Node) -> int:
-        """Pages this mode's accounting charges for one node visit."""
-        if self.count_directory:
-            return node.blocks
-        return 1 if node.is_leaf else 0
-
-    def _query_independent(
-        self, query: Sequence[float], k: int
-    ) -> ParallelQueryResult:
-        query = np.asarray(query, dtype=float)
-        disks = DiskArray(self.store.num_disks, self.parameters)
-        cache_before = self.cache.stats() if self.cache else None
-        tracer = self._active_tracer()
-        span = -1
-        if tracer.enabled:
-            span = tracer.begin_query(
-                "parallel", k=k, num_disks=self.store.num_disks,
-                mode="independent",
-                service_ms=self.parameters.page_service_time_ms,
-            )
-        merged = _CandidateSet(k)
-        distance_computations = 0
-        for disk, tree in enumerate(self.store.trees):
-            if not tree.size:
-                continue
-            if self.cache is None and not tracer.enabled:
-                neighbors, stats = knn_best_first(
-                    tree, query, k, use_kernels=self.use_kernels
-                )
-                pages = (
-                    stats.page_accesses
-                    if self.count_directory
-                    else stats.leaf_accesses
-                )
-                disks.charge(disk, pages)
-            else:
-                # Per-node trace so each page can be looked up in the
-                # pool (and traced); the aggregate equals the uncached
-                # charge above.
-                def on_node(node: Node, disk: int = disk) -> None:
-                    if tracer.enabled:
-                        tracer.node_visit(span, disk, leaf=node.is_leaf)
-                    self._fetch(
-                        disks, disk, node, self._node_pages(node),
-                        tracer, span,
-                    )
-
-                neighbors, stats = knn_best_first(
-                    tree, query, k, on_node=on_node,
-                    use_kernels=self.use_kernels,
-                )
-            distance_computations += stats.distance_computations
-            for neighbor in neighbors:
-                merged.offer(
-                    neighbor.distance**2, neighbor.oid, neighbor.point
-                )
-        if tracer.enabled:
-            tracer.end_query(
-                span, time_ms=disks.parallel_time_ms,
-                distance_computations=distance_computations,
-            )
-        return ParallelQueryResult(
-            neighbors=merged.neighbors(),
-            pages_per_disk=disks.pages_per_disk,
-            parallel_time_ms=disks.parallel_time_ms,
-            distance_computations=distance_computations,
-            cache_stats=(
-                self.cache.delta_since(cache_before) if self.cache else None
-            ),
+    def query_batch(
+        self,
+        queries: np.ndarray,
+        k: int = 1,
+        mode: str = "coordinated",
+    ) -> BatchQueryResult:
+        """Run a batch of kNN queries sharing this engine's buffer pool
+        (see :func:`run_query_batch`)."""
+        return run_query_batch(
+            self.query, queries, self.store.num_disks, k, mode
         )
 
 
-class SequentialEngine:
+class SequentialEngine(InProcessEngine):
     """Single-disk baseline: one index over the whole data set.
 
     Charges data (leaf) pages only, matching :class:`ParallelEngine`'s
@@ -518,22 +449,6 @@ class SequentialEngine:
         self.tracer = tracer
         self.use_kernels = use_kernels
 
-    def reset_cache(self) -> None:
-        """Drop every cached page (next query runs cold)."""
-        if self.cache is not None:
-            self.cache.reset()
-
-    def _active_tracer(self) -> Tracer:
-        """This engine's tracer, else the ambient one, else the null
-        tracer."""
-        return self.tracer if self.tracer is not None else current_tracer()
-
-    def _node_pages(self, node: Node) -> int:
-        """Pages this engine's accounting charges for one node visit."""
-        if self.count_directory:
-            return node.blocks
-        return 1 if node.is_leaf else 0
-
     def query(self, query: Sequence[float], k: int = 1) -> SequentialQueryResult:
         """Run one kNN query against the single-disk index.
 
@@ -549,45 +464,21 @@ class SequentialEngine:
                 "sequential", k=k, num_disks=1,
                 service_ms=self.parameters.page_service_time_ms,
             )
-        if self.cache is None and not tracer.enabled:
-            neighbors, stats = knn_best_first(
-                self.tree, query, k, use_kernels=self.use_kernels
-            )
-            pages = (
-                stats.page_accesses
-                if self.count_directory
-                else stats.leaf_accesses
-            )
-            cache_stats = None
-        else:
-            cache_before = self.cache.stats() if self.cache else None
-            charged = [0]
-
-            def on_node(node: Node) -> None:
-                node_pages = self._node_pages(node)
-                if tracer.enabled:
-                    tracer.node_visit(span, 0, leaf=node.is_leaf)
-                if not node_pages:
-                    return
-                if self.cache is not None:
-                    if self.cache.access(0, id(node), node_pages):
-                        if tracer.enabled:
-                            tracer.cache_hit(span, 0, node_pages)
-                        return
-                    if tracer.enabled:
-                        tracer.cache_miss(span, 0, node_pages)
-                charged[0] += node_pages
-                if tracer.enabled:
-                    tracer.page_read(span, 0, node_pages)
-
-            neighbors, stats = knn_best_first(
-                self.tree, query, k, on_node=on_node,
-                use_kernels=self.use_kernels,
-            )
-            pages = charged[0]
-            cache_stats = (
-                self.cache.delta_since(cache_before) if self.cache else None
-            )
+        disks = DiskArray(1, self.parameters)
+        cache_before = self.cache.stats() if self.cache else None
+        candidates = _CandidateSet(k)
+        stats = SearchStats()
+        best_first(
+            [(0, self.tree.root)] if self.tree.size else [],
+            np.asarray(query, dtype=float),
+            candidates,
+            stats,
+            vectorized=kernels.kernels_enabled(self.use_kernels),
+            visit=page_visitor(
+                disks, self.cache, tracer, span, self.count_directory
+            ),
+        )
+        pages = disks.total_pages
         time_ms = pages * self.parameters.page_service_time_ms
         if tracer.enabled:
             tracer.end_query(
@@ -595,22 +486,13 @@ class SequentialEngine:
                 distance_computations=stats.distance_computations,
             )
         return SequentialQueryResult(
-            neighbors, stats, time_ms, pages, cache_stats
+            candidates.neighbors(), stats, time_ms, pages,
+            self.cache.delta_since(cache_before) if self.cache else None,
         )
 
     def query_batch(
         self, queries: np.ndarray, k: int = 1
     ) -> BatchQueryResult:
-        """Run a batch of kNN queries sharing this engine's buffer pool.
-
-        Same contract as :meth:`ParallelEngine.query_batch`: one up-front
-        float64 conversion, a pool that stays warm across the batch, and
-        per-query results identical to individual :meth:`query` calls.
-        """
-        queries = np.asarray(queries, dtype=float)
-        if queries.size == 0:
-            return BatchQueryResult([], 1)
-        queries = np.atleast_2d(queries)
-        return BatchQueryResult(
-            [self.query(query, k) for query in queries], 1
-        )
+        """Run a batch of kNN queries sharing this engine's buffer pool
+        (see :func:`run_query_batch`)."""
+        return run_query_batch(self.query, queries, 1, k)

@@ -38,7 +38,6 @@ generic-position (e.g. random float) data never produces them.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import multiprocessing
 import os
@@ -48,7 +47,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.index import kernels
-from repro.index.knn import SearchStats, _CandidateSet
+from repro.index.knn import SearchStats, _CandidateSet, best_first
 from repro.index.metrics import Euclidean
 from repro.index.node import Node
 from repro.obs.context import current_tracer
@@ -59,9 +58,6 @@ from repro.parallel.engine import BatchQueryResult, ParallelQueryResult
 __all__ = ["ProcessParallelEngine"]
 
 _EUCLIDEAN = Euclidean()
-
-#: How many queue pops a worker waits between shared-bound refreshes.
-_BOUND_REFRESH_POPS = 8
 
 #: Seconds the coordinator waits for a worker reply before giving up.
 _REPLY_TIMEOUT_S = 120.0
@@ -132,10 +128,11 @@ def _unpack_items(
 def _merge_shared(view: np.ndarray, k: int, keys: np.ndarray) -> None:
     """Fold candidate keys into the shared top-k array (lock held).
 
-    Each real candidate distance enters the shared array at most once
-    per query (a worker scores every page exactly once), so the k-th
-    shared value is always >= the true global k-th distance ``B*`` —
-    the monotone-safety invariant the pruning relies on.
+    ``keys`` need not be sorted.  Each real candidate distance enters
+    the shared array at most once per query (a worker scores every page
+    exactly once), so the k-th shared value is always >= the true
+    global k-th distance ``B*`` — the monotone-safety invariant the
+    pruning relies on.
     """
     merged = np.sort(np.concatenate((view[:k], keys)))[:k]
     view[:k] = merged
@@ -195,70 +192,46 @@ def _worker_query(
 ) -> Tuple[_CandidateItems, int]:
     """One kNN query on one disk's worker: own-disk pages only.
 
-    Returns the worker's local top-k candidates (squared keys) and the
-    number of pages it actually faulted in (its speculative read count).
+    A :func:`~repro.index.knn.best_first` search that admits only this
+    disk's data pages (a single-page tree's leaf root included), prunes
+    with the shared bound as well as its own, and publishes every scored
+    page's k smallest keys to the shared top-k array.  Returns the
+    worker's local top-k candidates (squared keys) and the number of
+    pages it actually faulted in (its speculative read count).
     """
     tree = store.tree
     candidates = _CandidateSet(k)
     faults = 0
-    if tree.size == 0:
-        return [], 0
-    with lock:
-        shared_bound = float(view[k - 1])
-    stats = SearchStats()
-    tiebreak = itertools.count()
-    root = tree.root
-    # A single-page tree has a leaf root; it never flows through the
-    # interior-node disk filter below, so filter it here.
-    if root.is_leaf and store.disk_of(root) != disk:
-        return [], 0
-    heap: List[Tuple[float, int, Node]] = [(0.0, next(tiebreak), root)]
-    pops = 0
-    while heap:
-        mindist, _, node = heapq.heappop(heap)
-        pops += 1
-        if pops % _BOUND_REFRESH_POPS == 0:
-            with lock:
-                shared_bound = float(view[k - 1])
-        bound = min(candidates.bound, shared_bound)
-        if mindist > bound:
-            break
-        if node.is_leaf:
-            points, oids = store.read_page(node)
-            faults += node.blocks
-            if len(oids):
-                if vectorized:
-                    kernels.offer_payload(
-                        candidates, points, oids, query, stats
-                    )
-                    keys = _EUCLIDEAN.point_keys(points, query)
-                else:
-                    keys = _EUCLIDEAN.point_keys(points, query)
-                    for index in range(len(oids)):
-                        candidates.offer(
-                            float(keys[index]), int(oids[index]),
-                            points[index],
-                        )
-                publishable = np.sort(keys)[:k]
-                if publishable[0] < shared_bound:
-                    with lock:
-                        _merge_shared(view, k, publishable)
-                        shared_bound = float(view[k - 1])
-        else:
-            if vectorized:
-                child_keys = kernels.child_mindists(node, query)
-            else:
-                child_keys = np.array(
-                    [child.mbr.mindist(query) for child in node.entries]
-                )
-            for index in np.nonzero(child_keys <= bound)[0]:
-                child = node.entries[index]
-                if child.is_leaf and store.disk_of(child) != disk:
-                    continue
-                heapq.heappush(
-                    heap,
-                    (float(child_keys[index]), next(tiebreak), child),
-                )
+
+    def read_page(node: Node) -> Tuple[np.ndarray, np.ndarray]:
+        nonlocal faults
+        faults += node.blocks
+        return store.read_page(node)
+
+    def shared_bound() -> float:
+        with lock:
+            return float(view[k - 1])
+
+    def publish(keys: np.ndarray, shared: float) -> float:
+        if keys.min() >= shared:
+            return shared
+        if len(keys) > k:
+            keys = np.partition(keys, k - 1)[:k]
+        with lock:
+            _merge_shared(view, k, keys)
+            return float(view[k - 1])
+
+    best_first(
+        [(disk, tree.root)] if tree.size else [],
+        query,
+        candidates,
+        SearchStats(),
+        vectorized=vectorized,
+        read_page=read_page,
+        admit=lambda node: not node.is_leaf or store.disk_of(node) == disk,
+        shared_bound=shared_bound,
+        publish=publish,
+    )
     return candidates.items(), faults
 
 

@@ -8,11 +8,14 @@ from repro.index.bulk import bulk_load
 from repro.index.knn import (
     Neighbor,
     SearchStats,
+    _CandidateSet,
+    best_first,
     knn_best_first,
     knn_branch_and_bound,
     knn_linear_scan,
     pages_intersecting_radius,
 )
+from repro.index.metrics import Euclidean
 from repro.index.rstar import RStarTree
 from repro.index.xtree import XTree
 
@@ -158,3 +161,68 @@ class TestNeighborType:
 
     def test_equality_ignores_point_array(self):
         assert Neighbor(0.5, 1, np.zeros(2)) == Neighbor(0.5, 1, np.ones(2))
+
+
+class TestBestFirstHooks:
+    """The hooks the engines adapt :func:`best_first` with."""
+
+    @staticmethod
+    def _tree(n=400, d=3, seed=4):
+        points = np.random.default_rng(seed).random((n, d))
+        return points, bulk_load(points, page_bytes=512)
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_publish_receives_each_scored_leafs_keys(self, vectorized):
+        points, tree = self._tree()
+        query = np.full(3, 0.5)
+        published, visited = [], []
+
+        def visit(disk, node):
+            assert disk == 7
+            visited.append(node)
+
+        def publish(keys, shared):
+            published.append(keys)
+            return shared
+
+        candidates, stats = _CandidateSet(5), SearchStats()
+        best_first(
+            [(7, tree.root)], query, candidates, stats,
+            vectorized=vectorized, visit=visit, publish=publish,
+        )
+        leaves = [node for node in visited if node.is_leaf]
+        assert len(published) == len(leaves) == stats.leaf_accesses
+        for keys, leaf in zip(published, leaves):
+            leaf_points = np.vstack([e.point for e in leaf.entries])
+            np.testing.assert_array_equal(
+                keys, Euclidean().point_keys(leaf_points, query)
+            )
+        expected = knn_linear_scan(points, query, 5)
+        assert [n.oid for n in candidates.neighbors()] == [
+            n.oid for n in expected
+        ]
+
+    def test_admit_filters_a_leaf_root(self):
+        _, tree = self._tree(n=5)
+        assert tree.root.is_leaf
+        candidates, stats = _CandidateSet(1), SearchStats()
+        best_first(
+            [(0, tree.root)], np.zeros(3), candidates, stats,
+            vectorized=True, admit=lambda node: not node.is_leaf,
+        )
+        assert stats.node_accesses == 0 and candidates.items() == []
+
+    def test_shared_bound_prunes_and_prune_counts_the_queue(self):
+        _, tree = self._tree()
+        pruned = []
+        candidates, stats = _CandidateSet(3), SearchStats()
+        best_first(
+            [(0, tree.root)], np.full(3, 2.0), candidates, stats,
+            vectorized=True, shared_bound=lambda: 0.0,
+            prune=lambda disk, count: pruned.append(count),
+        )
+        # Only the root (mindist 0) is visited: every child of it lies
+        # farther than the shared bound of 0.
+        assert stats.node_accesses == 1
+        assert pruned == [1] * len(tree.root.entries)
+        assert candidates.items() == []
