@@ -3,9 +3,9 @@
 The in-process engines *count* what a disk farm would do; this engine
 actually does it.  Each disk of an out-of-core
 :class:`~repro.storage.mmap_store.MmapStore` gets a dedicated worker
-process that maps only its own page file, walks the shared RAM
-directory best-first, reads and scores only its own disk's data pages,
-and cooperates with its siblings through a **shared monotonically
+process that maps only its own page file, searches the shared RAM
+directory, reads and scores only its own disk's data pages, and
+cooperates with its siblings through a **shared monotonically
 tightening kNN pruning bound** (a ``multiprocessing`` top-k distance
 array): every candidate distance a worker finds tightens the bound all
 workers prune with.
@@ -29,6 +29,19 @@ of visit interleaving.  So the coordinator
    against ``B*`` — the identical arithmetic the single-process engine
    applies incrementally.
 
+So a worker needs no HS 95 visit order: the charged pages never come
+from its reads, and it only has to return the exact top-k of its own
+disk among the points within the bound.  Any search that never skips
+a page whose ``mindist`` is within a bound that stays >= ``B*`` does
+that.  The vectorized worker therefore runs a chunked sweep
+(:func:`_sweep_query`) over the directory's leaf-parent groups
+(:class:`_LeafGroups`, built once per worker): a few NumPy calls and
+one simulated disk wait per chunk of pages, instead of a heap pop, a
+kernel call and a disk wait per page.  The scalar path
+(``use_kernels=False`` / ``REPRO_SCALAR_KERNELS``) keeps the
+page-at-a-time :func:`~repro.index.knn.best_first` adapter
+(:func:`_worker_query`) as the oracle.
+
 The engine is cacheless by design: the OS page cache plays the buffer
 pool's role for mmap'd pages, and simulated-pool semantics belong to
 the in-process engines.  Boundary ties (two points at exactly distance
@@ -42,7 +55,8 @@ import itertools
 import multiprocessing
 import os
 import queue as queue_module
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from multiprocessing.connection import wait as wait_ready
+from typing import Any, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -138,6 +152,128 @@ def _merge_shared(view: np.ndarray, k: int, keys: np.ndarray) -> None:
     view[:k] = merged
 
 
+def _publish(
+    view: np.ndarray, lock: Any, k: int, keys: np.ndarray, shared: float
+) -> float:
+    """Fold scored keys into the shared top-k; returns the new bound.
+
+    Keys that cannot tighten the bound are skipped without the lock;
+    otherwise only their ``k`` smallest (``np.partition``) are merged.
+    """
+    if keys.min() >= shared:
+        return shared
+    if len(keys) > k:
+        keys = np.partition(keys, k - 1)[:k]
+    with lock:
+        _merge_shared(view, k, keys)
+        return float(view[k - 1])
+
+
+def _top_k(
+    keys: np.ndarray, oids: np.ndarray, points: np.ndarray, k: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``k`` smallest rows by ``(key, oid)``, in that order.
+
+    ``np.partition`` finds the k-th key; every row within it survives
+    (ties included), so the ``np.lexsort`` over the survivors is exact.
+    """
+    if len(keys) > k:
+        kth = np.partition(keys, k - 1)[k - 1]
+        keep = np.nonzero(keys <= kth)[0]
+        keys, oids, points = keys[keep], oids[keep], points[keep]
+    order = np.lexsort((oids, keys))[:k]
+    return keys[order], oids[order], points[order]
+
+
+def _mbr_bounds(
+    nodes: List[Node], dimension: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(lows, highs)`` of the nodes' MBRs as ``(N, d)`` arrays."""
+    if not nodes:
+        return np.zeros((0, dimension)), np.zeros((0, dimension))
+    return (
+        np.vstack([node.mbr.low for node in nodes]),
+        np.vstack([node.mbr.high for node in nodes]),
+    )
+
+
+class _LeafGroups:
+    """The RAM directory as leaf-parent groups, flattened once.
+
+    A *group* is a directory node with data-page children; a leaf root
+    is its own group.  ``low``/``high`` are the group MBRs as ``(G, d)``
+    arrays, and ``offsets`` is a CSR index: group ``g`` owns the leaf
+    rows ``offsets[g]:offsets[g + 1]`` of ``leaf_low``/``leaf_high``
+    (leaf MBRs), ``leaves`` (the nodes), ``disks``, ``blocks`` and
+    ``entries`` (from the store's slot table — no payload is touched).
+    With ``disk`` given only that disk's leaves are kept, and groups
+    left without leaves are dropped.  An empty tree is an empty table.
+
+    A group's MBR is the min/max union of its children's, so per row
+    its ``mindist_many`` key is <= each child's: the gaps are exact
+    differences of ordered bounds, and squaring and the fixed-order
+    row sum are monotone.  Filtering groups first and then only their
+    leaves therefore keeps exactly the leaves a flat pass over every
+    leaf would keep.
+    """
+
+    __slots__ = (
+        "low", "high", "offsets", "leaf_low", "leaf_high", "leaves",
+        "disks", "blocks", "entries",
+    )
+
+    def __init__(self, store: Any, disk: Optional[int] = None):
+        tree = store.tree
+        groups: List[Node] = []
+        leaves: List[Node] = []
+        offsets = [0]
+        stack: List[Node] = [tree.root] if tree.size else []
+        while stack:
+            node = stack.pop()
+            children = [node] if node.is_leaf else node.entries
+            own = [
+                child for child in children
+                if child.is_leaf
+                and (disk is None or store.disk_of(child) == disk)
+            ]
+            stack.extend(child for child in children if not child.is_leaf)
+            if own:
+                groups.append(node)
+                leaves.extend(own)
+                offsets.append(len(leaves))
+        self.low, self.high = _mbr_bounds(groups, tree.dimension)
+        self.leaf_low, self.leaf_high = _mbr_bounds(leaves, tree.dimension)
+        self.offsets = np.asarray(offsets, dtype=np.int64)
+        self.leaves = leaves
+        self.disks = np.asarray(
+            [store.disk_of(leaf) for leaf in leaves], dtype=np.int64
+        )
+        self.blocks = np.asarray(
+            [leaf.blocks for leaf in leaves], dtype=np.int64
+        )
+        self.entries = np.asarray(
+            [store.entry_count(leaf) for leaf in leaves], dtype=np.int64
+        )
+
+    def rows(self, groups: np.ndarray) -> np.ndarray:
+        """Leaf rows of ``groups``, group by group (a CSR gather)."""
+        starts = self.offsets[groups]
+        counts = self.offsets[groups + 1] - starts
+        ends = np.cumsum(counts)
+        total = int(ends[-1]) if len(ends) else 0
+        return np.arange(total) + np.repeat(starts - ends + counts, counts)
+
+    def passing(self, query: np.ndarray, bound: float) -> np.ndarray:
+        """Rows of every leaf with ``mindist <= bound`` (ties included),
+        found through the groups that pass the same test."""
+        group_keys = _EUCLIDEAN.mindist_many(self.low, self.high, query)
+        rows = self.rows(np.nonzero(group_keys <= bound)[0])
+        keys = _EUCLIDEAN.mindist_many(
+            self.leaf_low[rows], self.leaf_high[rows], query
+        )
+        return rows[keys <= bound]
+
+
 class _BatchPageMemo:
     """Batch-scoped read-through page memo over a worker's store.
 
@@ -172,13 +308,26 @@ class _BatchPageMemo:
         self.disk_of = store.disk_of
 
     def read_page(self, node: Node) -> Tuple[np.ndarray, np.ndarray]:
-        key = id(node)
-        payload = self._pages.get(key)
-        if payload is None:
-            payload = self._store.read_page(node)
-            if len(self._pages) < self._CAP:
-                self._pages[key] = payload
-        return payload
+        return self.read_pages([node])[0]
+
+    def read_pages(
+        self, nodes: Sequence[Node]
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Payloads of ``nodes``; the misses go to the store in **one**
+        ``read_pages`` call (one simulated disk wait)."""
+        pages = self._pages
+        misses = [node for node in nodes if id(node) not in pages]
+        fetched = dict(
+            zip(map(id, misses), self._store.read_pages(misses))
+        )
+        for key, payload in fetched.items():
+            if len(pages) >= self._CAP:
+                break
+            pages[key] = payload
+        return [
+            fetched[id(node)] if id(node) in fetched else pages[id(node)]
+            for node in nodes
+        ]
 
 
 def _worker_query(
@@ -186,17 +335,17 @@ def _worker_query(
     disk: int,
     query: np.ndarray,
     k: int,
-    vectorized: bool,
     view: np.ndarray,
     lock: Any,
 ) -> Tuple[_CandidateItems, int]:
-    """One kNN query on one disk's worker: own-disk pages only.
+    """One kNN query on one disk's worker, scalar oracle: own-disk pages
+    only.
 
-    A :func:`~repro.index.knn.best_first` search that admits only this
-    disk's data pages (a single-page tree's leaf root included), prunes
-    with the shared bound as well as its own, and publishes every scored
-    page's k smallest keys to the shared top-k array.  Returns the
-    worker's local top-k candidates (squared keys) and the number of
+    A scalar :func:`~repro.index.knn.best_first` search that admits only
+    this disk's data pages (a single-page tree's leaf root included),
+    prunes with the shared bound as well as its own, and publishes every
+    scored page's k smallest keys to the shared top-k array.  Returns
+    the worker's local top-k candidates (squared keys) and the number of
     pages it actually faulted in (its speculative read count).
     """
     tree = store.tree
@@ -213,26 +362,108 @@ def _worker_query(
             return float(view[k - 1])
 
     def publish(keys: np.ndarray, shared: float) -> float:
-        if keys.min() >= shared:
-            return shared
-        if len(keys) > k:
-            keys = np.partition(keys, k - 1)[:k]
-        with lock:
-            _merge_shared(view, k, keys)
-            return float(view[k - 1])
+        return _publish(view, lock, k, keys, shared)
 
     best_first(
         [(disk, tree.root)] if tree.size else [],
         query,
         candidates,
         SearchStats(),
-        vectorized=vectorized,
+        vectorized=False,
         read_page=read_page,
         admit=lambda node: not node.is_leaf or store.disk_of(node) == disk,
         shared_bound=shared_bound,
         publish=publish,
     )
     return candidates.items(), faults
+
+
+def _sweep_query(
+    source: Any,
+    groups: _LeafGroups,
+    query: np.ndarray,
+    k: int,
+    view: np.ndarray,
+    lock: Any,
+) -> Tuple[_CandidateItems, int]:
+    """One kNN query on one disk's worker: the chunked leaf-group sweep.
+
+    The vectorized twin of :func:`_worker_query` over the disk's own
+    :class:`_LeafGroups`.  All group mindists come from one call; the
+    groups are expanded in increasing mindist order, in chunks of 1, 2,
+    4, ... groups, while their mindist is within ``min(local k-th key,
+    shared bound)``.  The chunk's own leaves that pass the same bound
+    are fetched with one ``read_pages`` call (one simulated disk wait),
+    scored with one ``point_keys`` over the concatenated payloads —
+    bit-identical per row to scoring page by page — published to the
+    shared bound, and folded into the local top-k by ``(key, oid)``.
+    Each leaf is read at most once.  Returns the local top-k (squared
+    keys) and the page blocks read, like :func:`_worker_query`.
+    """
+    top_keys = np.empty(0)
+    top_oids = np.empty(0, dtype=np.int64)
+    top_points = np.empty((0, groups.leaf_low.shape[1]))
+    faults = 0
+    group_keys = _EUCLIDEAN.mindist_many(groups.low, groups.high, query)
+    order = np.argsort(group_keys, kind="stable")
+    group_keys = group_keys[order]
+    start, step = 0, 1
+    while start < len(order):
+        with lock:
+            shared = float(view[k - 1])
+        local = float(top_keys[k - 1]) if len(top_keys) == k else np.inf
+        bound = min(local, shared)
+        stop = start + int(
+            np.searchsorted(
+                group_keys[start : start + step], bound, side="right"
+            )
+        )
+        if stop == start:
+            break
+        rows = groups.rows(order[start:stop])
+        start, step = stop, step * 2
+        leaf_keys = _EUCLIDEAN.mindist_many(
+            groups.leaf_low[rows], groups.leaf_high[rows], query
+        )
+        passed = np.nonzero(leaf_keys <= bound)[0]
+        rows = rows[passed[np.argsort(leaf_keys[passed], kind="stable")]]
+        if not len(rows):
+            continue
+        faults += int(groups.blocks[rows].sum())
+        payloads = source.read_pages([groups.leaves[row] for row in rows])
+        oids = np.concatenate([page_oids for _, page_oids in payloads])
+        if not len(oids):
+            continue
+        points = np.concatenate([page_points for page_points, _ in payloads])
+        keys = _EUCLIDEAN.point_keys(points, query)
+        _publish(view, lock, k, keys, shared)
+        top_keys, top_oids, top_points = _top_k(
+            np.concatenate((top_keys, keys)),
+            np.concatenate((top_oids, oids)),
+            np.concatenate((top_points, points)),
+            k,
+        )
+    items = [
+        (float(key), int(oid), point)
+        for key, oid, point in zip(top_keys, top_oids, top_points)
+    ]
+    return items, faults
+
+
+def _disk_search(
+    source: Any,
+    groups: _LeafGroups,
+    disk: int,
+    query: np.ndarray,
+    k: int,
+    vectorized: bool,
+    view: np.ndarray,
+    lock: Any,
+) -> Tuple[_CandidateItems, int]:
+    """The grouped sweep, or the scalar ``best_first`` oracle."""
+    if vectorized:
+        return _sweep_query(source, groups, query, k, view, lock)
+    return _worker_query(source, disk, query, k, view, lock)
 
 
 def _worker_main(
@@ -250,8 +481,10 @@ def _worker_main(
     """Worker process entry point (spawn-safe, module level).
 
     Opens its own :class:`MmapStore` handle over ``directory`` — each
-    worker maps only its own disk's page file on first read — then
-    serves tasks until it receives ``None``:
+    worker maps only its own disk's page file on first read — builds
+    its disk's :class:`_LeafGroups` once, then serves tasks until it
+    receives ``None`` (``vectorized`` picks the grouped sweep or the
+    scalar oracle, :func:`_disk_search`):
 
     ``("one", query_id, query, k, vectorized)``
         One query against pruning-bound bank 0; candidates travel back
@@ -278,6 +511,7 @@ def _worker_main(
     arena_view = np.frombuffer(arena, dtype=np.float64)
     store = MmapStore(directory)
     try:
+        groups = _LeafGroups(store, disk)
         num_disks = store.num_disks
         dimension = store.tree.dimension
         stride = _arena_stride(dimension)
@@ -290,8 +524,8 @@ def _worker_main(
                 lock = locks[0]
                 with lock:
                     view = bounds[:max_k]
-                items, faults = _worker_query(
-                    store, disk, query, k, vectorized, view, lock,
+                items, faults = _disk_search(
+                    store, groups, disk, query, k, vectorized, view, lock,
                 )
                 replies.put((query_id, disk, items, faults))
                 continue
@@ -303,8 +537,9 @@ def _worker_main(
                 lock = locks[bank]
                 with lock:
                     view = bounds[bank * max_k : (bank + 1) * max_k]
-                items, faults = _worker_query(
-                    memo, disk, queries[index], k, vectorized, view, lock,
+                items, faults = _disk_search(
+                    memo, groups, disk, queries[index], k, vectorized,
+                    view, lock,
                 )
                 with lock:
                     _pack_items(
@@ -392,7 +627,7 @@ class ProcessParallelEngine:
         self._arena: Optional[Any] = None
         self._gates: List[Any] = []
         self._query_ids = itertools.count()
-        self._leaves: Optional[Tuple[np.ndarray, ...]] = None
+        self._groups: Optional[_LeafGroups] = None
         #: Pages speculatively faulted by the workers on the last query
         #: (diagnostic only — always >= the charged count, varies run
         #: to run; the charged counts do not).
@@ -491,42 +726,13 @@ class ProcessParallelEngine:
         tracer."""
         return self.tracer if self.tracer is not None else current_tracer()
 
-    def _leaf_table(self) -> Tuple[np.ndarray, ...]:
-        """Flat per-leaf geometry/ownership arrays, built once.
-
-        ``(lows, highs, disks, blocks, entries)`` over every data page in
-        store leaf order.  The mmap store's directory is immutable for
-        the engine's lifetime, so one traversal at first use replaces a
-        Python node walk per query.
-        """
-        table = self._leaves
-        if table is None:
-            store = self.store
-            lows: List[np.ndarray] = []
-            highs: List[np.ndarray] = []
-            disks: List[int] = []
-            blocks: List[int] = []
-            entries: List[int] = []
-            stack: List[Node] = [store.tree.root]
-            while stack:
-                node = stack.pop()
-                if node.is_leaf:
-                    lows.append(node.mbr.low)
-                    highs.append(node.mbr.high)
-                    disks.append(store.disk_of(node))
-                    blocks.append(node.blocks)
-                    entries.append(store.entry_count(node))
-                else:
-                    stack.extend(node.entries)
-            table = (
-                np.vstack(lows),
-                np.vstack(highs),
-                np.asarray(disks, dtype=np.int64),
-                np.asarray(blocks, dtype=np.int64),
-                np.asarray(entries, dtype=np.int64),
-            )
-            self._leaves = table
-        return table
+    def _leaf_groups(self) -> _LeafGroups:
+        """All disks' :class:`_LeafGroups`, built at first use.  The
+        mmap store's directory is immutable for the engine's lifetime,
+        so one traversal replaces a Python node walk per query."""
+        if self._groups is None:
+            self._groups = _LeafGroups(self.store)
+        return self._groups
 
     def _exact_counts(
         self, query: np.ndarray, bound: float
@@ -542,24 +748,20 @@ class ProcessParallelEngine:
         A leaf is charged iff its own mindist passes: every ancestor
         MBR contains the leaf's, so ancestor mindists are lower bounds
         and the tree walk's interior filter can never exclude a passing
-        leaf.  That makes one vectorized pass over the flat leaf table
-        exactly equivalent to the walk — and ``mindist_many``'s row-wise
-        ``add.reduce`` is bit-identical to the scalar ``MBR.mindist``
-        (see that docstring), so the charged set matches both kernel
-        modes.
+        leaf.  So filtering the leaf-parent groups first and then only
+        their leaves (:meth:`_LeafGroups.passing`) keeps exactly the
+        walk's set — and ``mindist_many``'s row-wise ``add.reduce`` is
+        bit-identical to the scalar ``MBR.mindist`` (see that
+        docstring), so the charged set matches both kernel modes.
         """
-        store = self.store
-        if store.tree.size == 0:
-            return np.zeros(store.num_disks, dtype=np.int64), 0
-        lows, highs, disks, blocks, entries = self._leaf_table()
-        keys = _EUCLIDEAN.mindist_many(lows, highs, query)
-        charged = keys <= bound
+        groups = self._leaf_groups()
+        rows = groups.passing(query, bound)
         counts = np.bincount(
-            disks[charged],
-            weights=blocks[charged],
-            minlength=store.num_disks,
+            groups.disks[rows],
+            weights=groups.blocks[rows],
+            minlength=self.store.num_disks,
         ).astype(np.int64)
-        return counts, int(entries[charged].sum())
+        return counts, int(groups.entries[rows].sum())
 
     def _check_k(self, k: int) -> None:
         if k > self.max_k:
@@ -578,18 +780,48 @@ class ProcessParallelEngine:
         )
 
     def _collect_reply(self) -> Tuple[int, int, Any, int]:
-        """One worker reply, or a clean teardown on a dead worker."""
+        """One worker reply, or a clean teardown on a dead worker.
+
+        Waits on the reply queue and every worker's sentinel at once,
+        so a worker that exits (killed, crashed, failed at spawn) is
+        reported as soon as it dies, not after the reply timeout.
+        """
         assert self._replies is not None
+        sentinels = {
+            proc.sentinel: disk for disk, proc in enumerate(self._procs)
+        }
+        ready = wait_ready(
+            [self._replies._reader, *sentinels], timeout=_REPLY_TIMEOUT_S
+        )
+        for handle in ready:
+            if handle in sentinels:
+                disk = sentinels[handle]
+                proc = self._procs[disk]
+                proc.join(timeout=1.0)
+                self._abort(
+                    f"disk worker {disk} died (exit code {proc.exitcode})"
+                )
         try:
             reply = self._replies.get(timeout=_REPLY_TIMEOUT_S)
         except queue_module.Empty:
-            self.close()
-            raise RuntimeError(
-                "a disk worker did not reply; the worker process "
-                "likely died (see stderr)"
-            ) from None
+            self._abort(f"no disk worker replied within {_REPLY_TIMEOUT_S} s")
         reply_id, disk, payload, faults = reply
         return int(reply_id), int(disk), payload, int(faults)
+
+    def _abort(self, reason: str) -> NoReturn:
+        """Close the engine after a worker failure and raise.
+
+        Surviving workers may be blocked mid-batch on their gates, so
+        they are terminated instead of being asked to stop; the next
+        query starts a fresh pool.
+        """
+        for proc in self._procs:
+            if proc.is_alive():
+                proc.terminate()
+        for tasks in self._tasks:
+            tasks.cancel_join_thread()
+        self.close()
+        raise RuntimeError(f"{reason}; the engine was closed")
 
     def _reduce(
         self,

@@ -72,7 +72,7 @@ __all__ = [
 STORE_JSON = "store.json"
 
 #: Environment knob: simulated disk service time in milliseconds per
-#: page *block*, slept inside :meth:`MmapStore.read_page`.  The page
+#: page *block*, slept inside :meth:`MmapStore.read_pages`.  The page
 #: files live on media (tmpfs, SSD page cache) many orders of magnitude
 #: faster than the rotating disks whose overlap the paper measures;
 #: this restores a physical service time so wall-clock benchmarks
@@ -269,10 +269,11 @@ class MmapStore:
     """Read-only out-of-core paged store opened from a store directory.
 
     Exposes the :class:`~repro.parallel.paged.PagedStore` query surface
-    plus :meth:`read_page` / :meth:`entry_count`; engines detect the
-    ``read_page`` hook and score mmap-served payloads instead of
-    in-memory entries.  Page files are opened lazily per disk, so a
-    per-disk worker process maps only its own disk's file.  Reopening
+    plus :meth:`read_pages` / :meth:`read_page` / :meth:`entry_count`;
+    engines detect the ``read_page`` hook and score mmap-served
+    payloads instead of in-memory entries.  Page files are opened
+    lazily per disk, so a per-disk worker process maps only its own
+    disk's file.  Reopening
     a directory that another process (or store) currently maps is safe:
     mappings are read-only and the files are immutable once written.
     """
@@ -373,20 +374,16 @@ class MmapStore:
         return np.bincount(self.page_disks, minlength=self.num_disks)
 
     def _page_file(self, disk: int) -> PageFile:
-        if self._closed:
-            raise ValueError(
-                f"mmap store {os.fspath(self.directory)!r} is closed; "
-                f"page reads after close() would silently remap the "
-                f"files — reopen the store instead"
-            )
         handle = self._page_files.get(disk)
         if handle is None:
             handle = PageFile(self.directory / _page_file_name(disk))
             self._page_files[disk] = handle
         return handle
 
-    def read_page(self, leaf: Node) -> Tuple[np.ndarray, np.ndarray]:
-        """Fetch one data page's ``(points, oids)`` payload via mmap.
+    def read_pages(
+        self, leaves: Sequence[Node]
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Fetch data pages' ``(points, oids)`` payloads via mmap.
 
         This is the simulated disk access: the first touch of a cold
         slot faults the mapping in; re-reads come from the OS page
@@ -394,18 +391,34 @@ class MmapStore:
         whether to *charge* the read to the :class:`DiskArray`.
 
         With ``simulated_disk_ms`` (or the ``REPRO_SIMULATED_DISK_MS``
-        environment knob) set, every read also sleeps that many
-        milliseconds per page block — a stand-in service time for the
-        rotating disks the paper overlaps, so wall-clock benchmarks see
-        real I/O wait instead of a page-cache hit.  Counters and
-        results are unaffected.
+        environment knob) set, the call also sleeps **once**, for that
+        many milliseconds per page block summed over ``leaves`` — a
+        stand-in service time for the rotating disks the paper overlaps,
+        so wall-clock benchmarks see real I/O wait instead of a
+        page-cache hit.  One wait per call keeps a sleep's fixed
+        overshoot from multiplying with the page count.  An empty list
+        reads and sleeps nothing.  Counters and results are unaffected.
         """
-        payload = self._page_file(self.disk_of(leaf)).read_slot(
-            self._slot_of[id(leaf)]
-        )
-        if self.simulated_disk_ms:
-            time.sleep(self.simulated_disk_ms * leaf.blocks / 1000.0)
-        return payload
+        if self._closed:
+            raise ValueError(
+                f"mmap store {os.fspath(self.directory)!r} is closed; "
+                f"page reads after close() would silently remap the "
+                f"files — reopen the store instead"
+            )
+        payloads = [
+            self._page_file(self.disk_of(leaf)).read_slot(
+                self._slot_of[id(leaf)]
+            )
+            for leaf in leaves
+        ]
+        if self.simulated_disk_ms and payloads:
+            blocks = sum(leaf.blocks for leaf in leaves)
+            time.sleep(self.simulated_disk_ms * blocks / 1000.0)
+        return payloads
+
+    def read_page(self, leaf: Node) -> Tuple[np.ndarray, np.ndarray]:
+        """One data page's payload: ``read_pages([leaf])[0]``."""
+        return self.read_pages([leaf])[0]
 
     def __len__(self) -> int:
         return self.tree.size
@@ -415,7 +428,7 @@ class MmapStore:
     def close(self) -> None:
         """Unmap every open page file (results remain valid — payload
         reads return owned copies).  Idempotent; after close,
-        :meth:`read_page` raises :class:`ValueError` instead of
+        :meth:`read_pages` raises :class:`ValueError` instead of
         silently remapping the page files."""
         for handle in self._page_files.values():
             handle.close()

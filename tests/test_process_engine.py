@@ -137,17 +137,19 @@ class TestParity:
 
 
 class _CountingStore:
-    """Store facade that counts ``read_page`` pass-throughs."""
+    """Store facade that counts the pages passed through ``read_pages``."""
 
     def __init__(self, inner):
         self._inner = inner
         self.tree = inner.tree
         self.disk_of = inner.disk_of
         self.reads = 0
+        self.calls = 0
 
-    def read_page(self, node):
-        self.reads += 1
-        return self._inner.read_page(node)
+    def read_pages(self, nodes):
+        self.reads += len(nodes)
+        self.calls += 1
+        return self._inner.read_pages(nodes)
 
 
 class TestBatchPageMemo:
@@ -186,6 +188,33 @@ class TestBatchPageMemo:
         want_points, want_oids = mmap_store.read_page(second_leaf)
         assert np.array_equal(points, want_points)
         assert np.array_equal(oids, want_oids)
+
+    def test_read_pages_fetches_only_misses_in_one_call(self, mmap_store):
+        counting = _CountingStore(mmap_store)
+        memo = _BatchPageMemo(counting)
+        leaves = self._leaves(mmap_store)[:4]
+        first = memo.read_page(leaves[0])
+        payloads = memo.read_pages(leaves)
+        # read_page is one call; the three misses share the second.
+        assert counting.reads == 4 and counting.calls == 2
+        assert payloads[0] is first
+        for (points, oids), leaf in zip(payloads, leaves):
+            want_points, want_oids = mmap_store.read_page(leaf)
+            assert np.array_equal(points, want_points)
+            assert np.array_equal(oids, want_oids)
+        again = memo.read_pages(leaves)
+        assert counting.reads == 4
+        assert all(a is b for a, b in zip(again, payloads))
+
+    def test_read_pages_respects_the_cap(self, mmap_store, monkeypatch):
+        monkeypatch.setattr(_BatchPageMemo, "_CAP", 2)
+        counting = _CountingStore(mmap_store)
+        memo = _BatchPageMemo(counting)
+        leaves = self._leaves(mmap_store)[:4]
+        memo.read_pages(leaves)
+        assert len(memo._pages) == 2
+        memo.read_pages(leaves)  # the two over the cap are read again
+        assert counting.reads == 6
 
 
 class TestLifecycle:

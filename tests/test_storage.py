@@ -258,6 +258,52 @@ class TestMmapStoreRoundTrip:
             assert engine.cache.capacity_pages == 32
 
 
+class TestReadPages:
+    """``MmapStore.read_pages``: several payloads, one simulated wait."""
+
+    def _record_sleeps(self, monkeypatch):
+        import repro.storage.mmap_store as mmap_store
+
+        sleeps = []
+        monkeypatch.setattr(mmap_store.time, "sleep", sleeps.append)
+        return sleeps
+
+    def test_payloads_equal_read_page(self, store_dir):
+        with MmapStore(store_dir) as store:
+            leaves = store.leaves[::3]
+            for (points, oids), leaf in zip(store.read_pages(leaves), leaves):
+                want_points, want_oids = store.read_page(leaf)
+                assert np.array_equal(points, want_points)
+                assert np.array_equal(oids, want_oids)
+
+    def test_one_sleep_per_call_for_all_blocks(self, store_dir, monkeypatch):
+        sleeps = self._record_sleeps(monkeypatch)
+        with MmapStore(store_dir, simulated_disk_ms=0.25) as store:
+            leaves = store.leaves[:5]
+            store.read_pages(leaves)
+            blocks = sum(leaf.blocks for leaf in leaves)
+            assert sleeps == [0.25 * blocks / 1000.0]
+            store.read_page(leaves[0])
+            assert sleeps[1:] == [0.25 * leaves[0].blocks / 1000.0]
+
+    def test_empty_list_reads_and_sleeps_nothing(
+        self, store_dir, monkeypatch
+    ):
+        sleeps = self._record_sleeps(monkeypatch)
+        with MmapStore(store_dir, simulated_disk_ms=0.25) as store:
+            assert store.read_pages([]) == []
+        assert sleeps == []
+
+    def test_closed_store_raises(self, store_dir):
+        store = MmapStore(store_dir)
+        leaves = store.leaves[:2]
+        store.close()
+        with pytest.raises(ValueError, match="closed"):
+            store.read_pages(leaves)
+        with pytest.raises(ValueError, match="closed"):
+            store.read_pages([])
+
+
 class TestEngineOverMmap:
     def test_query_parity_with_in_memory(self, paged_store, store_dir,
                                          rng):
